@@ -3,15 +3,20 @@
 //! against the naive per-configuration scan — the quantitative record
 //! behind `BENCH_datapath.json`.
 //!
-//! Two groups:
+//! Three groups:
 //!
 //! * `snr` — the predicted output-error moments (and hence SNR) of a 3x3
 //!   Gaussian-blur convolution built from LPAA 5 adders, analytically (one
 //!   pass over the graph, closed-form moment algebra per node) and by
 //!   Monte-Carlo simulation (20k random pixel neighbourhoods, every one
-//!   evaluated gate-accurately and bit-by-bit). The acceptance suite in
-//!   `crates/propagate/tests/acceptance.rs` pins that the two agree within
-//!   documented dB bounds.
+//!   evaluated gate-accurately), once on the compiled bitsliced datapath
+//!   engine and once on the scalar interpreter it replaced. The acceptance
+//!   suite in `crates/propagate/tests/acceptance.rs` pins that analysis and
+//!   simulation agree within documented dB bounds.
+//! * `replay` — bit-true replay of a 6000-value pixel stream (sliding
+//!   windows) through the same convolution against the exact reference:
+//!   compiled engine vs scalar interpreter. Both pairs return bit-identical
+//!   `ReplayQuality` values (pinned in `crates/propagate/tests/differential.rs`).
 //! * `optimize` — the provably-best (min-MSE) per-adder cell assignment of
 //!   the same convolution over a 3-cell candidate library: the
 //!   prefix-sharing DFS re-uses the propagated signal state of every common
@@ -28,13 +33,16 @@
 use std::fmt::Write as _;
 
 use sealpaa_bench::microbench::{black_box, take_results, BenchResult, BenchmarkId, Criterion};
-use sealpaa_cells::StandardCell;
+use sealpaa_cells::{Backend, StandardCell};
 use sealpaa_datapath::{Datapath, NodeKind, Signal};
 use sealpaa_explore::{
     accurate_cell_with_proxy_costs, best_datapath_assignment, best_datapath_assignment_reference,
     Budget,
 };
-use sealpaa_propagate::{monte_carlo, propagate_moments, topologies};
+use sealpaa_propagate::{
+    monte_carlo, monte_carlo_scalar, propagate_moments, replay, replay_scalar, topologies,
+};
+use sealpaa_sim::{SplitMix64, Xoshiro256pp};
 
 fn quick() -> bool {
     std::env::var_os("MICROBENCH_QUICK").is_some()
@@ -56,6 +64,16 @@ fn mc_samples() -> u64 {
         500
     } else {
         20_000
+    }
+}
+
+/// Values in the replayed stream. The full run matches the benchmark
+/// workflow's 6000-record streams.
+fn stream_len() -> usize {
+    if quick() {
+        300
+    } else {
+        6000
     }
 }
 
@@ -129,6 +147,61 @@ fn bench_snr(c: &mut Criterion) {
             })
         },
     );
+    group.bench_function(
+        BenchmarkId::new(&label, format!("monte_carlo_{samples}_scalar")),
+        |b| {
+            b.iter(|| {
+                monte_carlo_scalar(
+                    black_box(&dp),
+                    black_box(output),
+                    black_box(&inputs),
+                    samples,
+                    1,
+                )
+            })
+        },
+    );
+    group.bench_function(
+        BenchmarkId::new(&label, format!("monte_carlo_{samples}_draws")),
+        |b| b.iter(|| draw_inputs(black_box(&inputs), samples, 1)),
+    );
+    group.finish();
+}
+
+/// The input draws of `monte_carlo` alone — the same `Xoshiro256pp`
+/// stream, probabilities and sample → input → bit order, no evaluation —
+/// to show how much of the compiled Monte-Carlo row is random-number
+/// generation.
+fn draw_inputs(inputs: &[(&str, Vec<f64>)], samples: u64, seed: u64) -> u64 {
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    let mut folded = 0u64;
+    for _ in 0..samples {
+        for (_, bits) in inputs {
+            let mut value = 0u64;
+            for (i, &p) in bits.iter().enumerate() {
+                value |= u64::from(rng.next_bool(p)) << i;
+            }
+            folded = folded.wrapping_add(value);
+        }
+    }
+    folded
+}
+
+fn bench_replay(c: &mut Criterion) {
+    let (label, dp, output, _) = workload();
+    let mut rng = SplitMix64::new(3);
+    let mask = (1u64 << pixel_bits()) - 1;
+    let values: Vec<u64> = (0..stream_len()).map(|_| rng.next_u64() & mask).collect();
+    let len = values.len();
+    let mut group = c.benchmark_group("replay");
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::new(&label, format!("stream_{len}")), |b| {
+        b.iter(|| replay(black_box(&dp), black_box(output), black_box(&values)))
+    });
+    group.bench_function(
+        BenchmarkId::new(&label, format!("stream_{len}_scalar")),
+        |b| b.iter(|| replay_scalar(black_box(&dp), black_box(output), black_box(&values))),
+    );
     group.finish();
 }
 
@@ -183,7 +256,7 @@ fn ns_of(results: &[BenchResult], name: &str) -> f64 {
         .ns_per_iter
 }
 
-fn render_report(results: &[BenchResult], label: &str, samples: u64) -> String {
+fn render_report(results: &[BenchResult], label: &str, samples: u64, stream: usize) -> String {
     let mut benches = String::new();
     for (i, r) in results.iter().enumerate() {
         let sep = if i + 1 < results.len() { "," } else { "" };
@@ -203,6 +276,24 @@ fn render_report(results: &[BenchResult], label: &str, samples: u64) -> String {
             ),
             format!("snr/{label}/monte_carlo_{samples}"),
             format!("snr/{label}/analytical"),
+        ),
+        (
+            format!(
+                "{samples}-sample Monte-Carlo ground truth of the same convolution: compiled \
+                 bitsliced datapath engine vs the scalar graph interpreter (bit-identical \
+                 results, same random stream)"
+            ),
+            format!("snr/{label}/monte_carlo_{samples}_scalar"),
+            format!("snr/{label}/monte_carlo_{samples}"),
+        ),
+        (
+            format!(
+                "bit-true replay of a {stream}-value pixel stream through the same \
+                 convolution: compiled bitsliced datapath engine vs the scalar graph \
+                 interpreter (bit-identical results)"
+            ),
+            format!("replay/{label}/stream_{stream}_scalar"),
+            format!("replay/{label}/stream_{stream}"),
         ),
         (
             "min-MSE per-adder cell assignment of the same convolution over a 3-cell \
@@ -233,6 +324,20 @@ fn render_report(results: &[BenchResult], label: &str, samples: u64) -> String {
         );
     }
 
+    let mc_ns = ns_of(results, &format!("snr/{label}/monte_carlo_{samples}"));
+    let draws_share = ns_of(results, &format!("snr/{label}/monte_carlo_{samples}_draws")) / mc_ns;
+    let roadmap_target = if ns_of(
+        results,
+        &format!("snr/{label}/monte_carlo_{samples}_scalar"),
+    ) / mc_ns
+        >= 10.0
+    {
+        "is met"
+    } else {
+        "is not met"
+    };
+    let backend = Backend::active().name();
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     format!(
         "{{\n  \"generator\": \"cargo bench -p sealpaa-bench --bench datapath_kernels\",\n  \
          \"unit\": \"ns_per_iter is the median wall-clock time of one full workload\",\n  \
@@ -241,20 +346,30 @@ fn render_report(results: &[BenchResult], label: &str, samples: u64) -> String {
          (closed-form moment algebra per node); the Monte-Carlo row estimates the same \
          moments by evaluating {samples} random pixel neighbourhoods gate-accurately. The \
          acceptance suite in crates/propagate/tests/acceptance.rs pins that the two agree \
-         within documented dB bounds. The optimize rows search every per-adder cell \
+         within documented dB bounds. The Monte-Carlo and replay rows run on the compiled \
+         bitsliced datapath engine ({backend} backend on this host, {cores} usable cores, \
+         one thread); their _scalar twins run the per-sample graph interpreter that stays \
+         as the engine's oracle, and each pair returns bit-identical results. The engine's \
+         Monte-Carlo draws every input bit from one scalar xoshiro256++ stream in sample, \
+         input, bit order (the interpreter's stream, so results stay identical); the _draws \
+         row times those draws alone, {:.0}% of the compiled Monte-Carlo row, and the \
+         roadmap's >= 10x Monte-Carlo target over the interpreter {roadmap_target}. The \
+         optimize rows search every per-adder cell \
          assignment of the same convolution over a 3-cell candidate library for the \
          provably-best (min-MSE, hence max-SNR) design: prefix-sharing re-uses the \
          propagated signal state of shared graph prefixes, the naive scan re-propagates the \
          whole graph per configuration, and both return bit-identical winners for every \
          thread count. Acceptance: analytical >= 100x Monte-Carlo at 20k samples, \
          prefix-sharing >= 2x the naive scan on one thread\",\n  \
-         \"benches\": [\n{benches}  ],\n  \"speedups\": [\n{speedups}  ]\n}}\n"
+         \"benches\": [\n{benches}  ],\n  \"speedups\": [\n{speedups}  ]\n}}\n",
+        100.0 * draws_share
     )
 }
 
 fn main() {
     let mut criterion = Criterion::default();
     bench_snr(&mut criterion);
+    bench_replay(&mut criterion);
     bench_optimize(&mut criterion);
     let results = take_results();
     if quick() {
@@ -262,7 +377,7 @@ fn main() {
         return;
     }
     let (label, ..) = workload();
-    let report = render_report(&results, &label, mc_samples());
+    let report = render_report(&results, &label, mc_samples(), stream_len());
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_datapath.json");
     std::fs::write(path, report).expect("write BENCH_datapath.json");
     println!("wrote {path}");

@@ -8,6 +8,9 @@
 //! * [`Datapath`] — a DAG of signals whose add nodes are concrete
 //!   [`sealpaa_cells::AdderChain`]s (homogeneous, hybrid, accurate — anything the cell
 //!   library expresses), evaluated bit-true and against an exact reference,
+//! * [`CompiledDatapath`] — the same graph lowered onto the bitsliced
+//!   `CompiledChain` kernels, evaluating one SIMD word of samples per pass
+//!   bit-identically to the interpreter,
 //! * [`estimate`] — the analytical composition: per-bit signal
 //!   probabilities are propagated node by node (using the paper's machinery
 //!   per adder) and every adder gets its analytical error probability plus a
@@ -43,6 +46,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod compiled;
 mod conv2d;
 mod csa;
 mod estimate;
@@ -50,6 +54,7 @@ mod fir;
 mod graph;
 mod multiplier;
 
+pub use compiled::{CompiledDatapath, DatapathKernel, LaneBatch};
 pub use conv2d::{Conv2d, Image};
 pub use csa::CsaTree;
 pub use estimate::{estimate, simulate, AdderEstimate, DatapathEstimate};

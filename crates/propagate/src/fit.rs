@@ -7,7 +7,7 @@
 //! stream bit-true through the datapath for ground truth, and packages
 //! prediction-vs-measurement gaps as a [`DatapathFidelity`] report.
 
-use sealpaa_datapath::{Datapath, DatapathError, NodeKind, Signal};
+use sealpaa_datapath::{CompiledDatapath, Datapath, DatapathError, NodeKind, Signal};
 use sealpaa_sim::Xoshiro256pp;
 use sealpaa_trace::{TraceRecord, TraceStats, VarId};
 
@@ -175,29 +175,53 @@ impl QualityAccumulator {
 /// alignment, see [`fit_inputs`]) and measures the output against the
 /// exact reference.
 ///
+/// The windows run through a [`CompiledDatapath`], one SIMD word of windows
+/// per pass on the active backend; the output values reach the accumulator
+/// in window order, so the result is bit-identical to [`replay_scalar`].
+///
 /// # Errors
 ///
 /// [`PropagateError::StreamTooShort`] if the stream cannot cover every
-/// input once; wrapped [`DatapathError`] on evaluation failures.
+/// input once; [`DatapathError::UnknownSignal`] for a foreign output.
 pub fn replay(
     dp: &Datapath,
     output: Signal,
     values: &[u64],
 ) -> Result<ReplayQuality, PropagateError> {
-    if output.index() >= dp.len() {
-        return Err(DatapathError::UnknownSignal {
-            index: output.index(),
-        }
-        .into());
-    }
+    let window = replay_windows(dp, output, values)?;
+    let compiled = CompiledDatapath::compile(dp);
+    let slots = compiled.inputs().count();
+    let mut acc = QualityAccumulator::new();
+    compiled.stream(
+        output,
+        window as u64,
+        |start, batch| {
+            let (start, lanes) = (start as usize, batch.lanes());
+            for k in 0..slots {
+                batch
+                    .input(k)
+                    .copy_from_slice(&values[k + start..k + start + lanes]);
+            }
+        },
+        |approx, exact| acc.record(approx, exact),
+    )?;
+    Ok(acc.finish())
+}
+
+/// The scalar replay oracle: [`Datapath::evaluate`] and
+/// [`Datapath::evaluate_exact`] once per window. Slow, obviously correct —
+/// the differential baseline for [`replay`].
+///
+/// # Errors
+///
+/// As [`replay`].
+pub fn replay_scalar(
+    dp: &Datapath,
+    output: Signal,
+    values: &[u64],
+) -> Result<ReplayQuality, PropagateError> {
+    let window = replay_windows(dp, output, values)?;
     let inputs = declared_inputs(dp);
-    if values.len() < inputs.len() {
-        return Err(PropagateError::StreamTooShort {
-            needed: inputs.len(),
-            got: values.len(),
-        });
-    }
-    let window = values.len() - inputs.len() + 1;
     let mut acc = QualityAccumulator::new();
     for w in 0..window {
         let pairs: Vec<(&str, u64)> = inputs
@@ -219,9 +243,33 @@ pub fn replay(
     Ok(acc.finish())
 }
 
+/// Validates a replay request and returns its window count.
+fn replay_windows(dp: &Datapath, output: Signal, values: &[u64]) -> Result<usize, PropagateError> {
+    if output.index() >= dp.len() {
+        return Err(DatapathError::UnknownSignal {
+            index: output.index(),
+        }
+        .into());
+    }
+    let inputs = dp.input_names().count();
+    if values.len() < inputs {
+        return Err(PropagateError::StreamTooShort {
+            needed: inputs,
+            got: values.len(),
+        });
+    }
+    Ok(values.len() - inputs + 1)
+}
+
 /// Monte-Carlo ground truth: draws inputs bit-by-bit from the same
 /// per-bit Bernoulli model the analytical engine consumes and measures the
 /// output against the exact reference.
+///
+/// The samples run through a [`CompiledDatapath`], one SIMD word per pass
+/// on the active backend. Each sample's inputs are drawn from one
+/// [`Xoshiro256pp`] stream in sample → input → bit order and the outputs
+/// reach the accumulator in sample order, so the result is bit-identical
+/// to [`monte_carlo_scalar`].
 ///
 /// # Errors
 ///
@@ -233,23 +281,46 @@ pub fn monte_carlo(
     samples: u64,
     seed: u64,
 ) -> Result<ReplayQuality, PropagateError> {
-    if output.index() >= dp.len() {
-        return Err(DatapathError::UnknownSignal {
-            index: output.index(),
-        }
-        .into());
-    }
-    let bits_by_node = validated_input_bits(dp, inputs)?;
-    let named: Vec<(String, Vec<f64>)> = dp
-        .signals()
-        .filter_map(|s| match dp.kind(s) {
-            NodeKind::Input { name } => Some((
-                name.to_string(),
-                bits_by_node[s.index()].clone().expect("validated above"),
-            )),
-            _ => None,
-        })
-        .collect();
+    let bits = sampled_input_bits(dp, output, inputs)?;
+    let compiled = CompiledDatapath::compile(dp);
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    let mut acc = QualityAccumulator::new();
+    compiled.stream(
+        output,
+        samples,
+        |_, batch| {
+            for lane in 0..batch.lanes() {
+                for (k, bits) in bits.iter().enumerate() {
+                    let mut value = 0u64;
+                    for (i, &p) in bits.iter().enumerate() {
+                        value |= u64::from(rng.next_bool(p)) << i;
+                    }
+                    batch.input(k)[lane] = value;
+                }
+            }
+        },
+        |approx, exact| acc.record(approx, exact),
+    )?;
+    Ok(acc.finish())
+}
+
+/// The scalar Monte-Carlo oracle: the same draws as [`monte_carlo`], one
+/// [`Datapath::evaluate`] / [`Datapath::evaluate_exact`] pair per sample.
+/// Slow, obviously correct — the differential baseline for
+/// [`monte_carlo`].
+///
+/// # Errors
+///
+/// As [`monte_carlo`].
+pub fn monte_carlo_scalar(
+    dp: &Datapath,
+    output: Signal,
+    inputs: &[(&str, Vec<f64>)],
+    samples: u64,
+    seed: u64,
+) -> Result<ReplayQuality, PropagateError> {
+    let bits = sampled_input_bits(dp, output, inputs)?;
+    let named: Vec<(String, Vec<f64>)> = dp.input_names().map(str::to_string).zip(bits).collect();
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     let mut acc = QualityAccumulator::new();
     for _ in 0..samples {
@@ -270,6 +341,27 @@ pub fn monte_carlo(
         acc.record(approx, exact);
     }
     Ok(acc.finish())
+}
+
+/// Validates a Monte-Carlo request and returns each input's per-bit
+/// probabilities, in declaration order.
+fn sampled_input_bits(
+    dp: &Datapath,
+    output: Signal,
+    inputs: &[(&str, Vec<f64>)],
+) -> Result<Vec<Vec<f64>>, PropagateError> {
+    if output.index() >= dp.len() {
+        return Err(DatapathError::UnknownSignal {
+            index: output.index(),
+        }
+        .into());
+    }
+    let bits_by_node = validated_input_bits(dp, inputs)?;
+    Ok(dp
+        .signals()
+        .filter(|s| matches!(dp.kind(*s), NodeKind::Input { .. }))
+        .map(|s| bits_by_node[s.index()].clone().expect("validated above"))
+        .collect())
 }
 
 /// An analytical prediction next to its measured ground truth.

@@ -20,6 +20,10 @@
 //! * [`fit_inputs`] / [`fit_and_check`] / [`check_against_monte_carlo`] —
 //!   model fitting from value streams and fidelity reports against
 //!   bit-true replay or Monte-Carlo ground truth.
+//! * [`replay`] / [`monte_carlo`] — that ground truth, run on the bitsliced
+//!   [`CompiledDatapath`](sealpaa_datapath::CompiledDatapath) engine one
+//!   SIMD word of samples per pass, bit-identical to the per-sample
+//!   interpreter loops kept as [`replay_scalar`] / [`monte_carlo_scalar`].
 //! * [`topologies`] — FIR, conv2d and array-multiplier graph builders.
 //!
 //! # Examples
@@ -62,8 +66,8 @@ pub use exact::{
     brute_force_moments, exact_tree_moments, ExactMoments, MAX_EXACT_INPUT_BITS, MAX_EXACT_STATES,
 };
 pub use fit::{
-    check_against_monte_carlo, fit_and_check, fit_input, fit_inputs, monte_carlo, replay,
-    DatapathFidelity, FittedInput, ReplayQuality,
+    check_against_monte_carlo, fit_and_check, fit_input, fit_inputs, monte_carlo,
+    monte_carlo_scalar, replay, replay_scalar, DatapathFidelity, FittedInput, ReplayQuality,
 };
 pub use model::{ErrorPmf, MAX_PMF_SUPPORT};
 pub use topologies::Topology;

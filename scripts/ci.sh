@@ -38,8 +38,9 @@ run cargo test --workspace -q
 run cargo test -p sealpaa-sim --test differential -q
 
 # The same suite once per SIMD backend the host supports, forced through
-# SEALPAA_SIMD — pins that every lane width (u64 / u64x2 / avx2 / avx512)
-# reproduces the scalar oracle byte-identically, not just the widest one
+# SEALPAA_SIMD, next to the trace-replay and compiled-datapath suites — pins
+# that every lane width (u64 / u64x2 / avx2 / avx512) reproduces the scalar
+# oracles byte-identically, not just the widest one
 # runtime detection happens to pick. `sealpaa simd` lists what the host
 # has; forcing an unavailable backend is a hard error, so the loop asks
 # the binary itself which names to run.
@@ -49,6 +50,8 @@ for backend in $(cargo run -q -p sealpaa-cli --bin sealpaa -- simd --json |
         cargo test -p sealpaa-sim --test differential -q
     run env SEALPAA_SIMD="$backend" \
         cargo test -p sealpaa-trace --test differential -q
+    run env SEALPAA_SIMD="$backend" \
+        cargo test -p sealpaa-propagate --test differential -q
 done
 
 # The incremental-analysis differential suite: prefix stepper vs fresh
@@ -69,7 +72,8 @@ run cargo test -p sealpaa-blocks --test differential -q
 
 # The error-propagation suites: exact-Rational vs f64 consistency of the
 # datapath moment engine, then the accuracy acceptance bounds (analytical
-# SNR vs Monte-Carlo / replay ground truth, per topology).
+# SNR vs Monte-Carlo / replay ground truth, per topology). The compiled
+# datapath engine's differential suite runs in the per-backend loop above.
 run cargo test -p sealpaa-propagate --test consistency -q
 run cargo test -p sealpaa-propagate --test acceptance -q
 
