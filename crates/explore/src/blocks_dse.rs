@@ -19,22 +19,20 @@
 //! [`best_block_design_reference`], the differential oracle and benchmark
 //! baseline.
 //!
-//! # Determinism contract
-//!
-//! Parallel variants split the *first-block* choices across
-//! `std::thread::scope` workers; leaves carry `(first-choice index,
-//! within-subtree ordinal)` and merges break score ties lexicographically
-//! on that pair. Results — every f64 bit — are identical for every thread
-//! count, because stepper and per-leaf statistics run the same
-//! deterministically-ordered code path everywhere.
+//! The search is an instance of the crate's search driver: its roots are
+//! the first-block choices and a leaf's index is `(first-choice index,
+//! within-subtree ordinal)`, so results — every f64 bit — are identical
+//! for every thread count.
 
 use std::fmt;
+use std::ops::Range;
 
 use sealpaa_blocks::{error_distance_distribution, BlockConfig, BlockDistanceStepper, BlockSpec};
 use sealpaa_cells::{Cell, InputProfile};
 use sealpaa_core::ErrorDistanceDistribution;
 
-use crate::search::{split_ranges, ExploreError, MAX_SEARCH};
+use crate::driver::{self, Search};
+use crate::search::{pareto_by, ExploreError, MAX_SEARCH};
 
 /// The per-position choices the block search may combine.
 #[derive(Debug, Clone)]
@@ -286,7 +284,7 @@ pub fn evaluate_block_config(
 /// takes prediction 0.
 type FirstChoice = (usize, usize);
 
-/// DFS state shared by the enumerating and best-only searches.
+/// DFS state shared by the prefix-sharing searches and the reference scan.
 struct BlocksDfs<'s> {
     space: &'s BlockSearchSpace,
     budget: &'s BlockBudget,
@@ -299,31 +297,15 @@ struct BlocksDfs<'s> {
 /// visitation ordinal inside that subtree.
 type LeafIndex = (usize, u64);
 
-struct BlockIncumbent {
-    evaluation: BlockEvaluation,
-    index: LeafIndex,
-    blocks: Vec<BlockSpec>,
-}
-
-/// `true` if `challenger` replaces `incumbent`: strictly better on the
-/// (objective, error rate, power, area) tuple, or tied and earlier in
-/// deterministic leaf order.
-fn replaces(
-    objective: BlockObjective,
-    challenger: &BlockIncumbent,
-    incumbent: &BlockIncumbent,
-) -> bool {
-    let key = |i: &BlockIncumbent| {
-        (
-            objective.of(&i.evaluation),
-            i.evaluation.error_rate,
-            i.evaluation.power_nw,
-            i.evaluation.area_ge,
-        )
-    };
-    let c = key(challenger);
-    let i = key(incumbent);
-    c < i || (c == i && challenger.index < incumbent.index)
+/// The lexicographic key a best-design search minimizes: the objective,
+/// then error rate, power and area.
+fn block_key(objective: BlockObjective, eval: &BlockEvaluation) -> (f64, f64, f64, f64) {
+    (
+        objective.of(eval),
+        eval.error_rate,
+        eval.power_nw,
+        eval.area_ge,
+    )
 }
 
 impl<'s> BlocksDfs<'s> {
@@ -379,107 +361,130 @@ impl<'s> BlocksDfs<'s> {
             && self.budget.max_area_ge.is_none_or(|cap| area <= cap)
     }
 
-    /// Walks every completion of the current stepper prefix, invoking
-    /// `leaf` on each complete in-budget design.
+    /// Tries block `(w, p, cells[ci])` next: prunes it against the budget,
+    /// or pushes it and walks every completion, calling `leaf` on each
+    /// complete in-budget design. `index` holds the subtree's first choice
+    /// and the ordinal of its next leaf.
     #[allow(clippy::too_many_arguments)] // recursive DFS state, deliberately unpacked
-    fn walk<F: FnMut(&[BlockSpec], BlockEvaluation, u64)>(
+    fn descend<F: FnMut(LeafIndex, BlockEvaluation, &[BlockSpec])>(
         &self,
         stepper: &mut BlockDistanceStepper<f64>,
         blocks: &mut Vec<BlockSpec>,
-        power: f64,
-        area: f64,
-        max_window: usize,
-        ordinal: &mut u64,
+        (power, area, max_window): (f64, f64, usize),
+        (w, p, ci): (usize, usize, usize),
+        index: &mut LeafIndex,
         leaf: &mut F,
     ) -> Result<(), ExploreError> {
+        let wl = w + p;
+        let power = power + self.powers[ci] * wl as f64;
+        let area = area + self.areas[ci] * wl as f64;
+        if !self.admits_block(wl, power, area) {
+            return Ok(());
+        }
+        let cell = &self.space.cells[ci];
+        let depth = stepper.depth();
+        stepper
+            .push(w, p, cell)
+            .map_err(|source| ExploreError::Blocks { source })?;
+        blocks.push(BlockSpec::new(w, p, cell.clone()));
+        let max_window = max_window.max(wl);
         let covered = stepper.covered();
         if covered == self.width {
             let dist = stepper
                 .distribution()
                 .map_err(|source| ExploreError::Blocks { source })?;
             let evaluation = BlockEvaluation::from_distribution(&dist, power, area, max_window);
-            let index = *ordinal;
-            *ordinal += 1;
+            let at = *index;
+            index.1 += 1;
             if self.budget.admits(&evaluation) {
-                leaf(blocks, evaluation, index);
+                leaf(at, evaluation, blocks);
             }
-            return Ok(());
-        }
-        let depth = stepper.depth();
-        for &w in &self.space.widths {
-            if covered + w > self.width {
-                break; // widths ascend
-            }
-            for &p in &self.space.predictions {
-                if p > covered {
-                    break; // predictions ascend
+        } else {
+            for &w in &self.space.widths {
+                if covered + w > self.width {
+                    break; // widths ascend
                 }
-                let wl = w + p;
-                for (ci, cell) in self.space.cells.iter().enumerate() {
-                    let power = power + self.powers[ci] * wl as f64;
-                    let area = area + self.areas[ci] * wl as f64;
-                    if !self.admits_block(wl, power, area) {
-                        continue;
+                for &p in &self.space.predictions {
+                    if p > covered {
+                        break; // predictions ascend
                     }
-                    stepper
-                        .push(w, p, cell)
-                        .map_err(|source| ExploreError::Blocks { source })?;
-                    blocks.push(BlockSpec::new(w, p, cell.clone()));
-                    self.walk(
-                        stepper,
-                        blocks,
-                        power,
-                        area,
-                        max_window.max(wl),
-                        ordinal,
-                        leaf,
-                    )?;
-                    blocks.pop();
-                    stepper.truncate(depth);
+                    for ci in 0..self.space.cells.len() {
+                        self.descend(
+                            stepper,
+                            blocks,
+                            (power, area, max_window),
+                            (w, p, ci),
+                            index,
+                            leaf,
+                        )?;
+                    }
                 }
             }
         }
+        blocks.pop();
+        stepper.truncate(depth);
         Ok(())
     }
+}
 
-    /// Runs `walk` for a contiguous range of first choices on one worker.
-    fn run_range<F: FnMut(&[BlockSpec], BlockEvaluation, LeafIndex)>(
+/// The tiling tree for the search driver: the DFS tables, the profile
+/// every worker's stepper starts from, and the first-block choices that
+/// are its roots.
+pub(crate) struct BlockTree<'s> {
+    dfs: BlocksDfs<'s>,
+    profile: &'s InputProfile<f64>,
+    choices: Vec<FirstChoice>,
+}
+
+impl<'s> BlockTree<'s> {
+    pub(crate) fn new(
+        space: &'s BlockSearchSpace,
+        profile: &'s InputProfile<f64>,
+        budget: &'s BlockBudget,
+    ) -> Self {
+        let dfs = BlocksDfs::new(space, budget, profile.width());
+        let choices = dfs.first_choices();
+        BlockTree {
+            dfs,
+            profile,
+            choices,
+        }
+    }
+}
+
+impl Search for BlockTree<'_> {
+    type Eval = BlockEvaluation;
+    type Index = LeafIndex;
+    type Path = [BlockSpec];
+
+    fn roots(&self) -> usize {
+        self.choices.len()
+    }
+
+    fn walk<F: FnMut(LeafIndex, BlockEvaluation, &[BlockSpec])>(
         &self,
-        profile: &InputProfile<f64>,
-        choices: &[FirstChoice],
-        offset: usize,
-        mut leaf: F,
+        roots: Range<usize>,
+        leaf: &mut F,
     ) -> Result<(), ExploreError> {
-        let max_depth = *self.space.predictions.last().expect("non-empty");
-        let mut stepper = BlockDistanceStepper::new(profile.clone(), max_depth)
+        let max_depth = *self.dfs.space.predictions.last().expect("non-empty");
+        let mut stepper = BlockDistanceStepper::new(self.profile.clone(), max_depth)
             .map_err(|source| ExploreError::Blocks { source })?;
         let mut blocks = Vec::new();
-        for (k, &(wi, ci)) in choices.iter().enumerate() {
-            let w = self.space.widths[wi];
-            let wl = w; // depth 0
-            let cell = &self.space.cells[ci];
-            let power = self.powers[ci] * wl as f64;
-            let area = self.areas[ci] * wl as f64;
-            if !self.admits_block(wl, power, area) {
-                continue;
-            }
-            stepper.truncate(0);
-            stepper
-                .push(w, 0, cell)
-                .map_err(|source| ExploreError::Blocks { source })?;
-            blocks.push(BlockSpec::new(w, 0, cell.clone()));
-            let mut ordinal = 0u64;
-            let first = offset + k;
-            self.walk(
+        for first in roots {
+            let (wi, ci) = self.choices[first];
+            // Block 0 always takes prediction 0. -0.0 is f64's exact
+            // additive identity, so its cost is its own increment exactly.
+            let block = (self.dfs.space.widths[wi], 0, ci);
+            let mut index = (first, 0);
+            let dfs = &self.dfs;
+            dfs.descend(
                 &mut stepper,
                 &mut blocks,
-                power,
-                area,
-                wl,
-                &mut ordinal,
-                &mut |specs, evaluation, within| leaf(specs, evaluation, (first, within)),
+                (-0.0, -0.0, 0),
+                block,
+                &mut index,
+                leaf,
             )?;
-            blocks.pop();
         }
         Ok(())
     }
@@ -514,45 +519,12 @@ pub fn enumerate_block_designs(
     budget: &BlockBudget,
     threads: usize,
 ) -> Result<Vec<BlockDesign>, ExploreError> {
-    let width = profile.width();
-    check_size(space, width)?;
-    let dfs = BlocksDfs::new(space, budget, width);
-    let choices = dfs.first_choices();
-    let ranges = split_ranges(choices.len(), threads);
-    let partials: Vec<Result<Vec<(LeafIndex, BlockDesign)>, ExploreError>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|range| {
-                    let dfs = &dfs;
-                    let choices = &choices;
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        dfs.run_range(
-                            profile,
-                            &choices[range.clone()],
-                            range.start,
-                            |specs, evaluation, index| {
-                                let config = BlockConfig::new(specs.to_vec())
-                                    .expect("DFS builds valid configs");
-                                out.push((index, BlockDesign { config, evaluation }));
-                            },
-                        )?;
-                        Ok(out)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("enumeration worker panicked"))
-                .collect()
-        });
-    let mut merged: Vec<(LeafIndex, BlockDesign)> = Vec::new();
-    for partial in partials {
-        merged.extend(partial?);
-    }
-    merged.sort_by_key(|(index, _)| *index);
-    Ok(merged.into_iter().map(|(_, design)| design).collect())
+    check_size(space, profile.width())?;
+    let tree = BlockTree::new(space, profile, budget);
+    driver::collect(&tree, threads, |evaluation, blocks| BlockDesign {
+        config: BlockConfig::new(blocks.to_vec()).expect("DFS builds valid configs"),
+        evaluation,
+    })
 }
 
 /// The provably best in-budget design under `objective`, by exhaustive
@@ -572,61 +544,13 @@ pub fn best_block_design(
     objective: BlockObjective,
     threads: usize,
 ) -> Result<Option<BlockDesign>, ExploreError> {
-    let width = profile.width();
-    check_size(space, width)?;
-    let dfs = BlocksDfs::new(space, budget, width);
-    let choices = dfs.first_choices();
-    let ranges = split_ranges(choices.len(), threads);
-    let partials: Vec<Result<Option<BlockIncumbent>, ExploreError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                let dfs = &dfs;
-                let choices = &choices;
-                scope.spawn(move || {
-                    let mut best: Option<BlockIncumbent> = None;
-                    dfs.run_range(
-                        profile,
-                        &choices[range.clone()],
-                        range.start,
-                        |specs, evaluation, index| {
-                            let challenger = BlockIncumbent {
-                                evaluation,
-                                index,
-                                blocks: specs.to_vec(),
-                            };
-                            let replace = match &best {
-                                None => true,
-                                Some(incumbent) => replaces(objective, &challenger, incumbent),
-                            };
-                            if replace {
-                                best = Some(challenger);
-                            }
-                        },
-                    )?;
-                    Ok(best)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("search worker panicked"))
-            .collect()
-    });
-    let mut best: Option<BlockIncumbent> = None;
-    for partial in partials {
-        if let Some(challenger) = partial? {
-            let replace = match &best {
-                None => true,
-                Some(incumbent) => replaces(objective, &challenger, incumbent),
-            };
-            if replace {
-                best = Some(challenger);
-            }
-        }
-    }
+    check_size(space, profile.width())?;
+    let tree = BlockTree::new(space, profile, budget);
+    let best = driver::best(&tree, threads, |evaluation| {
+        block_key(objective, evaluation)
+    })?;
     Ok(best.map(|incumbent| BlockDesign {
-        config: BlockConfig::new(incumbent.blocks).expect("DFS builds valid configs"),
+        config: BlockConfig::new(incumbent.path).expect("DFS builds valid configs"),
         evaluation: incumbent.evaluation,
     }))
 }
@@ -675,8 +599,19 @@ fn self_choice(space: &BlockSearchSpace, wi: usize, ci: usize) -> BlockSpec {
     BlockSpec::new(space.widths[wi], 0, space.cells[ci].clone())
 }
 
+/// The reference scan's best-so-far. The scan visits leaves one at a time
+/// in leaf order, so only a strictly smaller key replaces it (the first
+/// seen wins ties) — the oracle shares no keep-best code with the search
+/// driver it checks.
+struct BlockIncumbent {
+    evaluation: BlockEvaluation,
+    blocks: Vec<BlockSpec>,
+}
+
 /// Recursive helper of [`best_block_design_reference`]: same tree, same
 /// admissibility checks, but each leaf is scored with a fresh full pass.
+/// `_first` and `_ordinal` name the leaf index the driver breaks ties on;
+/// visiting leaves in that order, this scan needs no tie-break.
 #[allow(clippy::too_many_arguments)] // recursive DFS state, deliberately unpacked
 fn reference_walk(
     dfs: &BlocksDfs<'_>,
@@ -684,8 +619,8 @@ fn reference_walk(
     objective: BlockObjective,
     stack: &mut Vec<BlockSpec>,
     next: BlockSpec,
-    first: usize,
-    ordinal: &mut u64,
+    _first: usize,
+    _ordinal: &mut u64,
     best: &mut Option<BlockIncumbent>,
 ) -> Result<(), ExploreError> {
     let wl = next.window_len();
@@ -713,20 +648,16 @@ fn reference_walk(
         let config = BlockConfig::new(stack.clone()).expect("walk builds valid configs");
         let evaluation = evaluate_block_config(&config, profile)?;
         debug_assert_eq!(evaluation.max_window_len, max_window);
-        let index = *ordinal;
-        *ordinal += 1;
         if dfs.budget.admits(&evaluation) {
-            let challenger = BlockIncumbent {
-                evaluation,
-                index: (first, index),
-                blocks: stack.clone(),
-            };
-            let replace = match best {
-                None => true,
-                Some(incumbent) => replaces(objective, &challenger, incumbent),
-            };
-            if replace {
-                *best = Some(challenger);
+            let key = block_key(objective, &evaluation);
+            if best
+                .as_ref()
+                .is_none_or(|b| key < block_key(objective, &b.evaluation))
+            {
+                *best = Some(BlockIncumbent {
+                    evaluation,
+                    blocks: stack.clone(),
+                });
             }
         }
     } else {
@@ -745,8 +676,8 @@ fn reference_walk(
                         objective,
                         stack,
                         BlockSpec::new(w, p, cell.clone()),
-                        first,
-                        ordinal,
+                        _first,
+                        _ordinal,
                         best,
                     )?;
                 }
@@ -759,24 +690,12 @@ fn reference_walk(
 
 /// Filters block designs down to their Pareto frontier over
 /// (mean |ED|, power, area), sorted by ascending mean |ED|.
-pub fn block_pareto_front(mut designs: Vec<BlockDesign>) -> Vec<BlockDesign> {
-    let mut front: Vec<BlockDesign> = Vec::new();
-    designs.sort_by(|a, b| {
-        a.evaluation
-            .mean_absolute
-            .total_cmp(&b.evaluation.mean_absolute)
-            .then(a.evaluation.power_nw.total_cmp(&b.evaluation.power_nw))
-    });
-    for design in designs {
-        if !front
-            .iter()
-            .any(|kept| kept.evaluation.dominates(&design.evaluation))
-        {
-            front.retain(|kept| !design.evaluation.dominates(&kept.evaluation));
-            front.push(design);
-        }
-    }
-    front
+pub fn block_pareto_front(designs: Vec<BlockDesign>) -> Vec<BlockDesign> {
+    pareto_by(
+        designs,
+        |d| (d.evaluation.mean_absolute, d.evaluation.power_nw),
+        |a, b| a.evaluation.dominates(&b.evaluation),
+    )
 }
 
 #[cfg(test)]

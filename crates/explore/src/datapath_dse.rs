@@ -8,19 +8,20 @@
 //! do not depend on the assignment, so minimizing predicted MSE is
 //! exactly maximizing predicted SNR.
 //!
-//! The search reuses the prefix-sharing DFS idiom of
+//! The search is an instance of the crate's search driver, on the same
+//! one-candidate-per-level walker as
 //! [`exhaustive_best_with`](crate::exhaustive_best_with): designs that
 //! agree on their first *k* adders share the stepper state up to the
-//! *k*-th adder node, workers own contiguous ranges of first-adder
-//! candidates, and ties break by lowest odometer index — so the winner is
-//! bit-identical for every thread count, pinned against the naive
+//! *k*-th adder node, and the driver's odometer-index tie-break makes the
+//! winner bit-identical for every thread count, pinned against the naive
 //! re-propagate-per-design reference.
 
 use sealpaa_cells::{AdderChain, Cell};
 use sealpaa_datapath::{Datapath, NodeKind, Signal};
 use sealpaa_propagate::{GraphStepper, PropagateError};
 
-use crate::search::{split_ranges, Budget, ExploreError, MAX_SEARCH};
+use crate::driver::{self, Levels};
+use crate::search::{Budget, ExploreError, MAX_SEARCH};
 
 /// The score of one per-adder assignment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,18 +63,30 @@ impl DatapathDesign {
     }
 }
 
-/// Per-candidate, per-adder-node data the DFS needs, derived once. Costs
-/// are folded per chain width in stage order so they match
-/// [`AdderChain::total_power_nw`] bit for bit.
-struct DatapathDfsContext<'c> {
-    candidates: &'c [Cell],
+/// The assignment space as a one-candidate-per-adder tree for the search
+/// driver: a tree edge pushes the chosen cell onto a [`GraphStepper`] and
+/// then every choice-free node up to the next adder, and costs fold as the
+/// precomputed per-width `costs[a][c]`.
+pub(crate) struct DatapathTree<'a> {
+    dp: &'a Datapath,
+    inputs: &'a [(&'a str, Vec<f64>)],
+    output: Signal,
+    candidates: &'a [Cell],
     /// `costs[a][c] = (power, area)` of assigning candidate `c` to the
-    /// `a`-th adder node.
+    /// `a`-th adder node, folded per chain width in stage order so they
+    /// match [`AdderChain::total_power_nw`] bit for bit.
     costs: Vec<Vec<(f64, f64)>>,
+    budget: Budget,
 }
 
-impl<'c> DatapathDfsContext<'c> {
-    fn new(candidates: &'c [Cell], widths: &[usize]) -> Result<Self, ExploreError> {
+impl<'a> DatapathTree<'a> {
+    pub(crate) fn new(
+        dp: &'a Datapath,
+        output: Signal,
+        inputs: &'a [(&'a str, Vec<f64>)],
+        candidates: &'a [Cell],
+        budget: Budget,
+    ) -> Result<Self, ExploreError> {
         let mut per_cell = Vec::with_capacity(candidates.len());
         for cell in candidates {
             let ch =
@@ -83,9 +96,9 @@ impl<'c> DatapathDfsContext<'c> {
                     })?;
             per_cell.push((ch.power_nw, ch.area_ge));
         }
-        let costs = widths
+        let costs = adder_nodes(dp)
             .iter()
-            .map(|&w| {
+            .map(|&(_, w)| {
                 per_cell
                     .iter()
                     .map(|&(p, a)| {
@@ -102,111 +115,91 @@ impl<'c> DatapathDfsContext<'c> {
                     .collect()
             })
             .collect();
-        Ok(DatapathDfsContext { candidates, costs })
+        Ok(DatapathTree {
+            dp,
+            inputs,
+            output,
+            candidates,
+            costs,
+            budget,
+        })
     }
-}
 
-/// The incumbent: score, odometer index for partition-independent
-/// tie-breaks, and the assignment (candidate indices per adder).
-struct Incumbent {
-    evaluation: DatapathEvaluation,
-    index: u128,
-    assignment: Vec<usize>,
-}
-
-fn replaces(challenger: &Incumbent, incumbent: &Incumbent) -> bool {
-    let c = (
-        challenger.evaluation.mse,
-        challenger.evaluation.power_nw,
-        challenger.evaluation.area_ge,
-    );
-    let i = (
-        incumbent.evaluation.mse,
-        incumbent.evaluation.power_nw,
-        incumbent.evaluation.area_ge,
-    );
-    c < i || (c == i && challenger.index < incumbent.index)
+    pub(crate) fn design(
+        &self,
+        (mse, power_nw, area_ge): (f64, f64, f64),
+        assignment: &[usize],
+        signal_power: f64,
+    ) -> DatapathDesign {
+        DatapathDesign {
+            cells: assignment
+                .iter()
+                .map(|&c| self.candidates[c].clone())
+                .collect(),
+            evaluation: DatapathEvaluation {
+                mse,
+                power_nw,
+                area_ge,
+            },
+            signal_power,
+        }
+    }
 }
 
 /// Advances the stepper through choice-free (non-adder) nodes.
-fn advance_forced(stepper: &mut GraphStepper<'_, f64>) -> Result<(), PropagateError> {
+fn advance_forced(stepper: &mut GraphStepper<'_, f64>) -> Result<(), ExploreError> {
     while !stepper.is_complete() && !stepper.next_is_adder() {
-        stepper.push(None)?;
+        stepper
+            .push(None)
+            .map_err(|source| ExploreError::Propagate { source })?;
     }
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)] // recursive DFS state, deliberately unpacked
-fn best_assignment_subtree(
-    ctx: &DatapathDfsContext<'_>,
-    budget: &Budget,
-    output: Signal,
-    stepper: &mut GraphStepper<'_, f64>,
-    assignment: &mut Vec<usize>,
-    power: f64,
-    area: f64,
-    index: u128,
-    weight: u128,
-    best: &mut Option<Incumbent>,
-) -> Result<(), ExploreError> {
-    advance_forced(stepper).map_err(|source| ExploreError::Propagate { source })?;
-    if stepper.is_complete() {
-        let evaluation = DatapathEvaluation {
-            mse: stepper.state(output).error_second,
-            power_nw: power,
-            area_ge: area,
-        };
-        if !evaluation.admitted(budget) {
-            return Ok(());
-        }
-        let challenger = Incumbent {
-            evaluation,
-            index,
-            assignment: assignment.clone(),
-        };
-        let replace = match best {
-            None => true,
-            Some(incumbent) => replaces(&challenger, incumbent),
-        };
-        if replace {
-            *best = Some(challenger);
-        }
-        return Ok(());
+impl<'a> Levels for DatapathTree<'a> {
+    type Stepper = GraphStepper<'a, f64>;
+
+    fn candidates(&self) -> usize {
+        self.candidates.len()
     }
-    let depth = stepper.depth();
-    let adder = assignment.len();
-    for c in 0..ctx.candidates.len() {
-        let (dp, da) = ctx.costs[adder][c];
-        let power = power + dp;
-        let area = area + da;
-        // Sound pruning: adder costs are non-negative and f64 addition of
-        // non-negative values is monotone, so a prefix already over a cap
-        // means every completion is over the cap.
-        if budget.max_power_nw.is_some_and(|cap| power > cap)
-            || budget.max_area_ge.is_some_and(|cap| area > cap)
-        {
-            continue;
-        }
-        stepper
-            .push(Some(&ctx.candidates[c]))
+
+    fn levels(&self) -> usize {
+        self.costs.len()
+    }
+
+    fn budget(&self) -> &Budget {
+        &self.budget
+    }
+
+    fn stepper(&self) -> Result<Self::Stepper, ExploreError> {
+        let mut stepper = GraphStepper::new(self.dp, self.inputs)
             .map_err(|source| ExploreError::Propagate { source })?;
-        assignment.push(c);
-        best_assignment_subtree(
-            ctx,
-            budget,
-            output,
-            stepper,
-            assignment,
-            power,
-            area,
-            index + c as u128 * weight,
-            weight * ctx.candidates.len() as u128,
-            best,
-        )?;
-        assignment.pop();
+        advance_forced(&mut stepper)?;
+        Ok(stepper)
+    }
+
+    fn depth(&self, stepper: &Self::Stepper) -> usize {
+        stepper.depth()
+    }
+
+    fn truncate(&self, stepper: &mut Self::Stepper, depth: usize) {
         stepper.truncate(depth);
     }
-    Ok(())
+
+    fn push(&self, stepper: &mut Self::Stepper, candidate: usize) -> Result<(), ExploreError> {
+        stepper
+            .push(Some(&self.candidates[candidate]))
+            .map_err(|source| ExploreError::Propagate { source })?;
+        advance_forced(stepper)
+    }
+
+    fn cost(&self, level: usize, candidate: usize) -> (f64, f64) {
+        self.costs[level][candidate]
+    }
+
+    fn error(&self, stepper: &Self::Stepper) -> f64 {
+        stepper.state(self.output).error_second
+    }
 }
 
 /// Adder node indices and chain widths of a datapath, in node order.
@@ -253,11 +246,11 @@ pub fn best_datapath_assignment(
             max: MAX_SEARCH,
         });
     }
-    let widths: Vec<usize> = adders.iter().map(|&(_, w)| w).collect();
-    let ctx = DatapathDfsContext::new(candidates, &widths)?;
+    let tree = DatapathTree::new(dp, output, inputs, candidates, *budget)?;
 
-    // The assignment-invariant signal power comes from one throwaway run.
-    let signal_power = {
+    // The assignment-invariant signal power comes from one throwaway run,
+    // which is also the whole evaluation of an adderless datapath.
+    let (signal_power, adderless_mse) = {
         let mut stepper =
             GraphStepper::new(dp, inputs).map_err(|source| ExploreError::Propagate { source })?;
         stepper
@@ -270,18 +263,14 @@ pub fn best_datapath_assignment(
                 }),
             });
         }
-        stepper.state(output).value_second
+        let state = stepper.state(output);
+        (state.value_second, state.error_second)
     };
 
     if adders.is_empty() {
         // No choices: a single, error-free-by-assignment design.
-        let mut stepper =
-            GraphStepper::new(dp, inputs).map_err(|source| ExploreError::Propagate { source })?;
-        stepper
-            .run_to_end()
-            .map_err(|source| ExploreError::Propagate { source })?;
         let evaluation = DatapathEvaluation {
-            mse: stepper.state(output).error_second,
+            mse: adderless_mse,
             power_nw: 0.0,
             area_ge: 0.0,
         };
@@ -292,75 +281,8 @@ pub fn best_datapath_assignment(
         }));
     }
 
-    let ranges = split_ranges(candidates.len(), threads);
-    let partials: Vec<Result<Option<Incumbent>, ExploreError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                let ctx = &ctx;
-                scope.spawn(move || {
-                    let mut best = None;
-                    let mut stepper = GraphStepper::new(dp, inputs)
-                        .map_err(|source| ExploreError::Propagate { source })?;
-                    let mut assignment = Vec::with_capacity(ctx.costs.len());
-                    for c in range {
-                        let (power, area) = ctx.costs[0][c];
-                        if budget.max_power_nw.is_some_and(|cap| power > cap)
-                            || budget.max_area_ge.is_some_and(|cap| area > cap)
-                        {
-                            continue;
-                        }
-                        stepper.truncate(0);
-                        advance_forced(&mut stepper)
-                            .map_err(|source| ExploreError::Propagate { source })?;
-                        stepper
-                            .push(Some(&ctx.candidates[c]))
-                            .map_err(|source| ExploreError::Propagate { source })?;
-                        assignment.push(c);
-                        best_assignment_subtree(
-                            ctx,
-                            budget,
-                            output,
-                            &mut stepper,
-                            &mut assignment,
-                            power,
-                            area,
-                            c as u128,
-                            ctx.candidates.len() as u128,
-                            &mut best,
-                        )?;
-                        assignment.pop();
-                    }
-                    Ok(best)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("datapath search worker panicked"))
-            .collect()
-    });
-    let mut best: Option<Incumbent> = None;
-    for partial in partials {
-        if let Some(challenger) = partial? {
-            let replace = match &best {
-                None => true,
-                Some(incumbent) => replaces(&challenger, incumbent),
-            };
-            if replace {
-                best = Some(challenger);
-            }
-        }
-    }
-    Ok(best.map(|incumbent| DatapathDesign {
-        cells: incumbent
-            .assignment
-            .iter()
-            .map(|&c| candidates[c].clone())
-            .collect(),
-        evaluation: incumbent.evaluation,
-        signal_power,
-    }))
+    let best = driver::best(&tree, threads, |&score| score)?;
+    Ok(best.map(|incumbent| tree.design(incumbent.evaluation, &incumbent.path, signal_power)))
 }
 
 /// The naive reference: a fresh odometer enumeration with one full

@@ -20,7 +20,14 @@
 //!   *block-based* adders (`sealpaa-blocks`): tile the width with blocks of
 //!   varying width/prediction-depth/cell, score each tiling by an exact
 //!   error-distance statistic, prefix-sharing the analytical recursion
-//!   across every configuration with the same leading blocks.
+//!   across every configuration with the same leading blocks,
+//! * [`best_datapath_assignment`] — one cell per adder node of a whole
+//!   datapath, minimizing the predicted output MSE (`sealpaa-propagate`).
+//!
+//! The chain, block and datapath searches are instances of one
+//! prefix-sharing search driver: contiguous root ranges per worker, ties
+//! broken on a deterministic leaf index, so every result is identical for
+//! every thread count.
 //!
 //! # Examples
 //!
@@ -42,6 +49,7 @@
 
 mod blocks_dse;
 mod datapath_dse;
+mod driver;
 mod scorecard;
 mod search;
 mod sweep;

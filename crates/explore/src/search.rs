@@ -14,22 +14,22 @@
 //! re-analyze-per-design route (pinned by `exhaustive_best_reference` in
 //! the differential tests).
 //!
-//! # Determinism contract
-//!
-//! Parallel variants split the stage-0 subtrees across `std::thread::scope`
-//! workers and merge partials in lexicographic (odometer) design order:
-//! [`exhaustive_designs`] scatters each leaf into its odometer slot, and
-//! [`exhaustive_best_with`] breaks score ties by lowest odometer index. The
-//! returned designs — order, best pick, Pareto front, every f64 bit — are
-//! identical for every thread count.
+//! Both searches are one instance of the crate's search driver (a
+//! one-candidate-per-stage tree, the same walker the datapath search
+//! uses); enumeration is that walker under an unconstrained [`Budget`], so
+//! it never prunes. The driver owns the threading and the determinism
+//! contract: leaves carry their odometer index (stage 0 cycling fastest),
+//! so the returned designs — order, best pick, Pareto front, every f64
+//! bit — are identical for every thread count.
 //!
 //! [`CarryState`]: sealpaa_core::CarryState
 
 use std::fmt;
-use std::ops::Range;
 
 use sealpaa_cells::{AdderChain, Cell, CellCharacteristics, InputProfile, StandardCell};
 use sealpaa_core::{analyze, MklMatrices, PrefixStepper};
+
+use crate::driver::{self, Levels};
 
 /// Errors produced by the exploration functions.
 #[derive(Debug, Clone, PartialEq)]
@@ -217,22 +217,31 @@ pub const MAX_ENUMERATION: u128 = 2_000_000;
 /// 8 cells is 16.7M designs).
 pub const MAX_SEARCH: u128 = 100_000_000;
 
-/// Per-candidate data the DFS needs at every tree edge, derived once:
-/// M/K/L matrices and power/area increments.
-struct DfsContext<'c> {
-    candidates: &'c [Cell],
+/// The chain design space as a one-candidate-per-stage tree for the
+/// search driver, with the per-candidate data every tree edge needs derived
+/// once: one [`PrefixStepper`] push per edge, and power/area folding as
+/// `+ powers[c]` per stage — the f64 operation order of
+/// [`AdderChain::total_power_nw`].
+pub(crate) struct ChainTree<'a> {
+    candidates: &'a [Cell],
     mkls: Vec<MklMatrices>,
     powers: Vec<f64>,
     areas: Vec<f64>,
+    profile: &'a InputProfile<f64>,
+    budget: Budget,
 }
 
-impl<'c> DfsContext<'c> {
+impl<'a> ChainTree<'a> {
     /// Validates every candidate up front (the DFS scores designs without
     /// materializing chains, so the per-chain characteristics check in
     /// [`evaluate`] never runs). The first candidate missing characteristics
     /// is reported — the same cell the odometer enumeration would have
     /// tripped over first.
-    fn new(candidates: &'c [Cell]) -> Result<Self, ExploreError> {
+    pub(crate) fn new(
+        candidates: &'a [Cell],
+        profile: &'a InputProfile<f64>,
+        budget: Budget,
+    ) -> Result<Self, ExploreError> {
         let mut mkls = Vec::with_capacity(candidates.len());
         let mut powers = Vec::with_capacity(candidates.len());
         let mut areas = Vec::with_capacity(candidates.len());
@@ -246,11 +255,13 @@ impl<'c> DfsContext<'c> {
             powers.push(ch.power_nw);
             areas.push(ch.area_ge);
         }
-        Ok(DfsContext {
+        Ok(ChainTree {
             candidates,
             mkls,
             powers,
             areas,
+            profile,
+            budget,
         })
     }
 
@@ -262,79 +273,61 @@ impl<'c> DfsContext<'c> {
                 .collect(),
         )
     }
-}
 
-/// Splits `0..n` into at most `parts` contiguous non-empty ranges.
-///
-/// Every search that fans out over these ranges merges its partials in
-/// range order, so results are thread-count invariant — which means
-/// oversubscribing past the machine's cores can only add scheduling
-/// overhead (the `dse/w40 _t4 > _t1` regression in BENCH_blocks.json).
-/// `parts` is therefore additionally clamped to available parallelism.
-pub(crate) fn split_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let parts = parts.min(cores).clamp(1, n.max(1));
-    let base = n / parts;
-    let extra = n % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let len = base + usize::from(i < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
-
-/// One enumeration state threaded through the DFS: the stepper prefix, the
-/// partial power/area folds (same f64 operation order as
-/// [`AdderChain::total_power_nw`]), and the design's odometer index built
-/// digit by digit (`assignment[0]` is the fastest-cycling digit, matching
-/// the historical odometer order).
-#[allow(clippy::too_many_arguments)] // recursive DFS state, deliberately unpacked
-fn enumerate_subtree<'p>(
-    ctx: &DfsContext<'_>,
-    stepper: &mut PrefixStepper<'p, f64>,
-    assignment: &mut Vec<usize>,
-    power: f64,
-    area: f64,
-    index: usize,
-    weight: usize,
-    out: &mut Vec<(usize, HybridDesign)>,
-) {
-    let depth = stepper.depth();
-    if depth == stepper.max_depth() {
-        let evaluation = Evaluation {
-            error_probability: stepper.error_probability(),
-            power_nw: power,
-            area_ge: area,
-        };
-        out.push((
-            index,
-            HybridDesign {
-                chain: ctx.chain_of(assignment),
-                evaluation,
+    pub(crate) fn design(
+        &self,
+        (error_probability, power_nw, area_ge): (f64, f64, f64),
+        assignment: &[usize],
+    ) -> HybridDesign {
+        HybridDesign {
+            chain: self.chain_of(assignment),
+            evaluation: Evaluation {
+                error_probability,
+                power_nw,
+                area_ge,
             },
-        ));
-        return;
+        }
     }
-    for c in 0..ctx.candidates.len() {
-        stepper.push(&ctx.mkls[c]);
-        assignment.push(c);
-        enumerate_subtree(
-            ctx,
-            stepper,
-            assignment,
-            power + ctx.powers[c],
-            area + ctx.areas[c],
-            index + c * weight,
-            weight * ctx.candidates.len(),
-            out,
-        );
-        assignment.pop();
+}
+
+impl<'a> Levels for ChainTree<'a> {
+    type Stepper = PrefixStepper<'a, f64>;
+
+    fn candidates(&self) -> usize {
+        self.candidates.len()
+    }
+
+    fn levels(&self) -> usize {
+        self.profile.width()
+    }
+
+    fn budget(&self) -> &Budget {
+        &self.budget
+    }
+
+    fn stepper(&self) -> Result<Self::Stepper, ExploreError> {
+        Ok(PrefixStepper::new(self.profile))
+    }
+
+    fn depth(&self, stepper: &Self::Stepper) -> usize {
+        stepper.depth()
+    }
+
+    fn truncate(&self, stepper: &mut Self::Stepper, depth: usize) {
         stepper.truncate(depth);
+    }
+
+    fn push(&self, stepper: &mut Self::Stepper, candidate: usize) -> Result<(), ExploreError> {
+        stepper.push(&self.mkls[candidate]);
+        Ok(())
+    }
+
+    fn cost(&self, _level: usize, candidate: usize) -> (f64, f64) {
+        (self.powers[candidate], self.areas[candidate])
+    }
+
+    fn error(&self, stepper: &Self::Stepper) -> f64 {
+        stepper.error_probability()
     }
 }
 
@@ -343,8 +336,8 @@ fn enumerate_subtree<'p>(
 ///
 /// Results are in the same order as [`enumerate_designs`] (stage-0 cell
 /// cycling fastest) and are byte-identical for every thread count: workers
-/// own contiguous ranges of stage-0 subtrees and every design is scattered
-/// into its odometer slot before the merged vector is returned.
+/// own contiguous ranges of stage-0 subtrees and the merged designs are
+/// sorted by odometer index.
 ///
 /// # Errors
 ///
@@ -372,50 +365,10 @@ pub fn exhaustive_designs(
         let evaluation = evaluate(&chain, profile)?;
         return Ok(vec![HybridDesign { chain, evaluation }]);
     }
-    let ctx = DfsContext::new(candidates)?;
-    let ranges = split_ranges(candidates.len(), threads);
-    let partials: Vec<Vec<(usize, HybridDesign)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                let ctx = &ctx;
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut stepper = PrefixStepper::new(profile);
-                    let mut assignment = Vec::with_capacity(profile.width());
-                    for c in range {
-                        stepper.truncate(0);
-                        stepper.push(&ctx.mkls[c]);
-                        assignment.push(c);
-                        enumerate_subtree(
-                            ctx,
-                            &mut stepper,
-                            &mut assignment,
-                            ctx.powers[c],
-                            ctx.areas[c],
-                            c,
-                            ctx.candidates.len(),
-                            &mut out,
-                        );
-                        assignment.pop();
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("enumeration worker panicked"))
-            .collect()
-    });
-    let mut slots: Vec<Option<HybridDesign>> = (0..designs as usize).map(|_| None).collect();
-    for (index, design) in partials.into_iter().flatten() {
-        slots[index] = Some(design);
-    }
-    Ok(slots
-        .into_iter()
-        .map(|slot| slot.expect("every odometer index is visited exactly once"))
-        .collect())
+    let tree = ChainTree::new(candidates, profile, Budget::default())?;
+    driver::collect(&tree, threads, |score, assignment| {
+        tree.design(score, assignment)
+    })
 }
 
 /// Enumerates and scores every `candidates^width` design (small spaces
@@ -432,98 +385,6 @@ pub fn enumerate_designs(
     profile: &InputProfile<f64>,
 ) -> Result<Vec<HybridDesign>, ExploreError> {
     exhaustive_designs(candidates, profile, 1)
-}
-
-/// The incumbent of the best-design search: score, odometer index (for
-/// deterministic tie-breaks across thread partitions) and the assignment to
-/// rebuild the chain from.
-struct Incumbent {
-    evaluation: Evaluation,
-    index: u128,
-    assignment: Vec<usize>,
-}
-
-/// `true` if `challenger` should replace `incumbent`: strictly better on
-/// the (error, power, area) tuple, or tied and earlier in odometer order —
-/// the same "first seen wins ties" rule the sequential scan had, now
-/// partition-independent.
-fn replaces(challenger: &Incumbent, incumbent: &Incumbent) -> bool {
-    let c = (
-        challenger.evaluation.error_probability,
-        challenger.evaluation.power_nw,
-        challenger.evaluation.area_ge,
-    );
-    let i = (
-        incumbent.evaluation.error_probability,
-        incumbent.evaluation.power_nw,
-        incumbent.evaluation.area_ge,
-    );
-    c < i || (c == i && challenger.index < incumbent.index)
-}
-
-#[allow(clippy::too_many_arguments)] // recursive DFS state, deliberately unpacked
-fn best_subtree<'p>(
-    ctx: &DfsContext<'_>,
-    budget: &Budget,
-    stepper: &mut PrefixStepper<'p, f64>,
-    assignment: &mut Vec<usize>,
-    power: f64,
-    area: f64,
-    index: u128,
-    weight: u128,
-    best: &mut Option<Incumbent>,
-) {
-    let depth = stepper.depth();
-    if depth == stepper.max_depth() {
-        let evaluation = Evaluation {
-            error_probability: stepper.error_probability(),
-            power_nw: power,
-            area_ge: area,
-        };
-        if !budget.admits(&evaluation) {
-            return;
-        }
-        let challenger = Incumbent {
-            evaluation,
-            index,
-            assignment: assignment.clone(),
-        };
-        let replace = match best {
-            None => true,
-            Some(incumbent) => replaces(&challenger, incumbent),
-        };
-        if replace {
-            *best = Some(challenger);
-        }
-        return;
-    }
-    for c in 0..ctx.candidates.len() {
-        let power = power + ctx.powers[c];
-        let area = area + ctx.areas[c];
-        // Sound pruning: stage costs are non-negative and f64 addition of
-        // non-negative values is monotone, so a prefix already over a cap
-        // means every completion is over the cap (and inadmissible).
-        if budget.max_power_nw.is_some_and(|cap| power > cap)
-            || budget.max_area_ge.is_some_and(|cap| area > cap)
-        {
-            continue;
-        }
-        stepper.push(&ctx.mkls[c]);
-        assignment.push(c);
-        best_subtree(
-            ctx,
-            budget,
-            stepper,
-            assignment,
-            power,
-            area,
-            index + c as u128 * weight,
-            weight * ctx.candidates.len() as u128,
-            best,
-        );
-        assignment.pop();
-        stepper.truncate(depth);
-    }
 }
 
 /// The provably best design under a budget, by exhaustive prefix-sharing
@@ -565,64 +426,9 @@ pub fn exhaustive_best_with(
             .admits(&evaluation)
             .then_some(HybridDesign { chain, evaluation }));
     }
-    let ctx = DfsContext::new(candidates)?;
-    let ranges = split_ranges(candidates.len(), threads);
-    let partials: Vec<Option<Incumbent>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                let ctx = &ctx;
-                scope.spawn(move || {
-                    let mut best = None;
-                    let mut stepper = PrefixStepper::new(profile);
-                    let mut assignment = Vec::with_capacity(profile.width());
-                    for c in range {
-                        let power = ctx.powers[c];
-                        let area = ctx.areas[c];
-                        if budget.max_power_nw.is_some_and(|cap| power > cap)
-                            || budget.max_area_ge.is_some_and(|cap| area > cap)
-                        {
-                            continue;
-                        }
-                        stepper.truncate(0);
-                        stepper.push(&ctx.mkls[c]);
-                        assignment.push(c);
-                        best_subtree(
-                            ctx,
-                            budget,
-                            &mut stepper,
-                            &mut assignment,
-                            power,
-                            area,
-                            c as u128,
-                            ctx.candidates.len() as u128,
-                            &mut best,
-                        );
-                        assignment.pop();
-                    }
-                    best
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("search worker panicked"))
-            .collect()
-    });
-    let mut best: Option<Incumbent> = None;
-    for challenger in partials.into_iter().flatten() {
-        let replace = match &best {
-            None => true,
-            Some(incumbent) => replaces(&challenger, incumbent),
-        };
-        if replace {
-            best = Some(challenger);
-        }
-    }
-    Ok(best.map(|incumbent| HybridDesign {
-        chain: ctx.chain_of(&incumbent.assignment),
-        evaluation: incumbent.evaluation,
-    }))
+    let tree = ChainTree::new(candidates, profile, *budget)?;
+    let best = driver::best(&tree, threads, |&score| score)?;
+    Ok(best.map(|incumbent| tree.design(incumbent.evaluation, &incumbent.path)))
 }
 
 /// The provably best design under a budget, single-threaded. See
@@ -747,7 +553,7 @@ pub fn local_search_best(
             cheapest = i;
         }
     }
-    let ctx = DfsContext::new(candidates)?;
+    let ctx = ChainTree::new(candidates, profile, *budget)?;
     let mut assignment = vec![cheapest; width];
     let mut current = evaluate(&ctx.chain_of(&assignment), profile)?;
     if !budget.admits(&current) {
@@ -825,20 +631,33 @@ pub fn local_search_best(
 
 /// Filters a design set down to its Pareto frontier over
 /// (error probability, power, area), sorted by ascending error.
-pub fn pareto_front(mut designs: Vec<HybridDesign>) -> Vec<HybridDesign> {
-    let mut front: Vec<HybridDesign> = Vec::new();
+pub fn pareto_front(designs: Vec<HybridDesign>) -> Vec<HybridDesign> {
+    pareto_by(
+        designs,
+        |d| (d.evaluation.error_probability, d.evaluation.power_nw),
+        |a, b| a.evaluation.dominates(&b.evaluation),
+    )
+}
+
+/// The Pareto filter behind [`pareto_front`] and
+/// [`block_pareto_front`](crate::block_pareto_front): sorts by the
+/// `(error, power)` pair `axes` reads, then keeps each design no kept one
+/// `dominates`, dropping the kept ones it dominates.
+pub(crate) fn pareto_by<T>(
+    mut designs: Vec<T>,
+    axes: impl Fn(&T) -> (f64, f64),
+    dominates: impl Fn(&T, &T) -> bool,
+) -> Vec<T> {
     designs.sort_by(|a, b| {
-        a.evaluation
-            .error_probability
-            .total_cmp(&b.evaluation.error_probability)
-            .then(a.evaluation.power_nw.total_cmp(&b.evaluation.power_nw))
+        let ((a_error, a_power), (b_error, b_power)) = (axes(a), axes(b));
+        a_error
+            .total_cmp(&b_error)
+            .then(a_power.total_cmp(&b_power))
     });
+    let mut front: Vec<T> = Vec::new();
     for design in designs {
-        if !front
-            .iter()
-            .any(|kept| kept.evaluation.dominates(&design.evaluation))
-        {
-            front.retain(|kept| !design.evaluation.dominates(&kept.evaluation));
+        if !front.iter().any(|kept| dominates(kept, &design)) {
+            front.retain(|kept| !dominates(&design, kept));
             front.push(design);
         }
     }

@@ -424,69 +424,6 @@ fn registries_stay_bounded(io_model: IoModel) {
     handle.join().expect("clean shutdown");
 }
 
-/// Process thread count, for proving connections don't cost threads.
-#[cfg(target_os = "linux")]
-fn thread_count() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .expect("task dir")
-        .count()
-}
-
-/// Open/idle/close churn against the event loop: `held` connections stay
-/// parked while `cycled` more connect, make one request, and disconnect.
-/// Connections must cost registry entries, never threads.
-#[cfg(target_os = "linux")]
-fn event_churn(held: usize, cycled: usize) {
-    let (addr, handle) = spawn_server(ServerConfig {
-        max_connections: held + 64,
-        io_model: IoModel::Event,
-        ..Default::default()
-    });
-    // Baseline after the daemon is fully up (poll thread + worker pool).
-    let mut observer = Client::connect(addr);
-    stats(&mut observer);
-    let baseline = thread_count();
-
-    let mut parked: Vec<TcpStream> = Vec::with_capacity(held);
-    for _ in 0..held {
-        parked.push(TcpStream::connect(addr).expect("held connect"));
-    }
-    for i in 0..cycled {
-        let mut client = Client::connect(addr);
-        let response = client.request(r#"{"kind":"analyze","width":4,"cell":"lpaa2"}"#);
-        assert_eq!(
-            response.get("ok").and_then(Json::as_bool),
-            Some(true),
-            "churn iteration {i}: {}",
-            response.render()
-        );
-    }
-
-    // Thread count is flat: idle connections are registry entries, not
-    // threads (small slack for transient test-harness threads).
-    let now = thread_count();
-    assert!(
-        now <= baseline + 2,
-        "thread count grew under churn: {baseline} -> {now}"
-    );
-    let snapshot = stats(&mut observer);
-    let registered = stat_u64(&snapshot, &["connections", "registered_fds"]);
-    assert!(
-        registered >= held as u64,
-        "held connections missing from the fd registry: {registered} < {held}"
-    );
-    assert!(
-        registered <= (held + 8) as u64,
-        "fd registry grew past the live set: {}",
-        snapshot.render()
-    );
-    assert_eq!(stat_u64(&snapshot, &["connections", "shed"]), 0);
-
-    drop(parked);
-    observer.request(r#"{"kind":"shutdown"}"#);
-    handle.join().expect("clean shutdown");
-}
-
 #[test]
 #[cfg(target_os = "linux")]
 fn killed_slow_reader_releases_pending_write_bytes() {
@@ -564,20 +501,4 @@ fn killed_slow_reader_releases_pending_write_bytes() {
 
     observer.request(r#"{"kind":"shutdown"}"#);
     handle.join().expect("clean shutdown");
-}
-
-#[test]
-#[cfg(target_os = "linux")]
-fn event_loop_holds_idle_connections_without_threads() {
-    // Tier-1 scale; the `--ignored` variant below runs the full 10k churn.
-    event_churn(256, 512);
-}
-
-#[test]
-#[ignore = "10k-connection churn; run explicitly with --ignored"]
-#[cfg(target_os = "linux")]
-fn event_loop_survives_ten_thousand_connection_churn() {
-    // 2k parked + 8k cycled = 10k opens, with at most ~2k simultaneous so
-    // the suite stays inside common fd ulimits.
-    event_churn(2000, 8000);
 }

@@ -84,6 +84,9 @@ run env SEALPAA_IO_MODEL=event \
     cargo test -p sealpaa-server --test fault_injection -q
 run env SEALPAA_IO_MODEL=threads \
     cargo test -p sealpaa-server --test fault_injection -q
+# The event loop's thread-count check counts every thread in the process,
+# so it runs in its own binary, where no sibling test's daemon is counted.
+run cargo test -p sealpaa-server --test event_churn -q
 
 # Warm-restart durability, once per connection layer: snapshots written by
 # one daemon life (periodically and on drain) must reload in the next, and
